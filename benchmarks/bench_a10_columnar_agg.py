@@ -53,7 +53,7 @@ def _jobs_schema(n: int):
             "node_hours": max(1, cores // 16) * wall / SECONDS_PER_HOUR,
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
-        }, _log=False)
+        })
     return schema
 
 
@@ -78,7 +78,7 @@ def _storage_schema(n: int):
             "physical_usage_gb": rng.random() * 450,
             "soft_quota_gb": soft,
             "hard_quota_gb": None if soft is None else soft * 1.5,
-        }, _log=False)
+        })
     return schema
 
 
@@ -111,7 +111,7 @@ def _cloud_schema(n_vms: int):
                 "state": ("running", "running", "stopped", "paused")[k % 4],
                 "start_ts": cursor, "end_ts": cursor + dur,
                 "vcpus": vcpus, "mem_gb": mem, "disk_gb": 20.0,
-            }, _log=False)
+            })
             cursor += dur
         vm_fact.insert({
             "vm_id": vm_id, "resource_id": 1, "person_id": 1 + i % 20,
@@ -125,7 +125,7 @@ def _cloud_schema(n_vms: int):
             "reserved_mem_gb_hours": 0.0, "reserved_disk_gb_hours": 0.0,
             "n_state_changes": n_ivs, "n_resizes": 0,
             "running_s": 0, "stopped_s": 0, "paused_s": 0,
-        }, _log=False)
+        })
     return schema
 
 
@@ -251,12 +251,10 @@ def test_a10_incremental_identical_to_rebuild(benchmark):
         src_cloud = _cloud_schema(n_vms)
         for name in ("fact_storage",):
             target.create_table(src_storage.table(name).schema)
-            for row in src_storage.table(name).rows():
-                target.table(name).insert(row, _log=False)
+            target.table(name).insert_many(src_storage.table(name).rows())
         for name in ("fact_vm", "fact_vm_interval"):
             target.create_table(src_cloud.table(name).schema)
-            for row in src_cloud.table(name).rows():
-                target.table(name).insert(row, _log=False)
+            target.table(name).insert_many(src_cloud.table(name).rows())
 
     inc = Aggregator(inc_schema)
     # first fold covers everything ingested so far; time the steady-state

@@ -343,8 +343,7 @@ class Aggregator:
         if not self.schema.has_table("fact_job"):
             return 0
         agg = self.schema.table(f"agg_job_{period}")
-        for row in build_job_rows(self.schema, self.config, period, obs=self.obs):
-            agg.insert(row)
+        agg.insert_many(build_job_rows(self.schema, self.config, period, obs=self.obs))
         return len(agg)
 
     def aggregate_jobs_oracle(self, period: str) -> int:
@@ -562,8 +561,7 @@ class Aggregator:
         if not self.schema.has_table("fact_storage"):
             return 0
         agg = self.schema.table(f"agg_storage_{period}")
-        for row in build_storage_rows(self.schema, period, obs=self.obs):
-            agg.insert(row)
+        agg.insert_many(build_storage_rows(self.schema, period, obs=self.obs))
         return len(agg)
 
     def aggregate_storage_oracle(self, period: str) -> int:
@@ -775,8 +773,7 @@ class Aggregator:
         if not self.schema.has_table("fact_vm_interval"):
             return 0
         agg = self.schema.table(f"agg_cloud_{period}")
-        for row in build_cloud_rows(self.schema, self.config, period, obs=self.obs):
-            agg.insert(row)
+        agg.insert_many(build_cloud_rows(self.schema, self.config, period, obs=self.obs))
         return len(agg)
 
     def aggregate_cloud_oracle(self, period: str) -> int:

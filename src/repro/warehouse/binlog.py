@@ -55,9 +55,10 @@ class BinlogEvent:
     data:
         Event payload.  For ``CREATE_TABLE``: the table schema dict.  For
         ``INSERT``: ``{"row": {...}}``.  For ``UPDATE``: ``{"key": [...],
-        "row": {...}}`` (full after-image).  For ``DELETE``: ``{"key":
-        [...]}`` or ``{"row": {...}}`` for keyless tables.  ``TRUNCATE`` and
-        ``DROP_TABLE`` carry an empty payload.
+        "row": {...}}`` (full after-image, keyed by the new key), plus
+        ``"old_row"`` (the before-image) from ``update_where``.  For
+        ``DELETE``: ``{"key": [...]}`` or ``{"row": {...}}`` for keyless
+        tables.  ``TRUNCATE`` and ``DROP_TABLE`` carry an empty payload.
     """
 
     lsn: int
@@ -102,26 +103,44 @@ class Binlog:
         #: telemetry hook — must be cheap and non-raising; invoked outside
         #: the log lock so a slow observer cannot stall replication tails
         self._on_append = on_append
-        #: trace propagation: called per append (outside the lock) for the
-        #: live trace context, kept in a sidecar keyed by LSN so event
-        #: payloads — and therefore binlog/dump checksums — never change
+        #: trace propagation: called once per append or batch (outside the
+        #: lock) for the live trace context, kept in a sidecar keyed by LSN
+        #: so event payloads — and therefore binlog/dump checksums — never
+        #: change
         self._trace_provider = trace_provider
         self._trace: dict[int, Any] = {}
 
     def append(self, etype: EventType, table: str, data: dict[str, Any] | None = None) -> BinlogEvent:
         """Record one event; returns it with its assigned LSN."""
+        return self.append_many(etype, table, (data,))[0]
+
+    def append_many(
+        self,
+        etype: EventType,
+        table: str,
+        datas: Sequence[dict[str, Any] | None],
+    ) -> list[BinlogEvent]:
+        """Record one event per payload, with consecutive LSNs.
+
+        Equivalent to one :meth:`append` per payload, at one lock
+        acquisition and one trace-context capture for the whole batch.
+        """
         with self._lock:
-            event = BinlogEvent(
-                lsn=len(self._events), etype=etype, table=table, data=data or {}
-            )
-            self._events.append(event)
+            first = len(self._events)
+            events = [
+                BinlogEvent(lsn=lsn, etype=etype, table=table, data=data or {})
+                for lsn, data in enumerate(datas, first)
+            ]
+            self._events.extend(events)
         if self._on_append is not None:
-            self._on_append()
+            for _ in events:
+                self._on_append()
         if self._trace_provider is not None:
             context = self._trace_provider()
             if context is not None:
-                self._trace[event.lsn] = context
-        return event
+                for event in events:
+                    self._trace[event.lsn] = context
+        return events
 
     def trace_context(self, lsn: int):
         """Trace context captured when event ``lsn`` was appended (or None)."""

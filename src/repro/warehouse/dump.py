@@ -125,8 +125,7 @@ def load_schema(
             table_schema = TableSchema.from_dict(entry["schema"])
             table = schema.create_table(table_schema)
             names = table_schema.column_names
-            for row in entry["rows"]:
-                table.insert(dict(zip(names, row)))
+            table.insert_many(dict(zip(names, row)) for row in entry["rows"])
     except Exception as exc:
         # malformed row data mid-load: never leave a partial schema behind
         database.drop_schema(target)

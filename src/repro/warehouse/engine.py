@@ -33,6 +33,14 @@ from .errors import (
 from .schema import ColumnType, TableSchema
 
 
+_NAN = object()
+
+
+def _nan_free(row: tuple[Any, ...]) -> tuple[Any, ...]:
+    """``row`` with every NaN replaced by one sentinel (NaN != NaN)."""
+    return tuple(_NAN if v != v else v for v in row)
+
+
 class Table:
     """One table: schema + rows + indexes.
 
@@ -48,6 +56,10 @@ class Table:
         self._indexes: dict[str, dict[Any, set[int]]] = {
             name: {} for name in table_schema.indexes
         }
+        #: (index, row position) per secondary index
+        self._index_slots = tuple(
+            (idx, table_schema.position(name)) for name, idx in self._indexes.items()
+        )
         self._data_version = 0
         self._columnar_cache: dict[str, np.ndarray] = {}
 
@@ -104,39 +116,24 @@ class Table:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, values: Mapping[str, Any], *, _log: bool = True) -> int:
+    def insert(self, values: Mapping[str, Any]) -> int:
         """Insert one row; returns its row id.
 
         Raises :class:`PrimaryKeyError` on duplicate key.
         """
-        row = self.schema.normalize_row(values)
-        key = self.schema.key_of(row)
-        if key is not None and key in self._pk_index:
-            raise PrimaryKeyError(
-                f"table {self.name!r}: duplicate primary key {key!r}"
-            )
-        rid = len(self._rows)
-        self._rows.append(row)
-        self._live_count += 1
-        self._mutated()
-        if key is not None:
-            self._pk_index[key] = rid
-        self._index_add(rid, row)
-        if _log:
-            self._owner._log(
-                EventType.INSERT,
-                self.name,
-                {"row": dict(zip(self.schema.column_names, row))},
-            )
-        return rid
+        return self._store(*self._stage((values,)))
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Bulk insert; returns the number of rows inserted."""
-        n = 0
-        for values in rows:
-            self.insert(values)
-            n += 1
-        return n
+        """Insert a batch atomically; returns the number of rows inserted.
+
+        Every row is normalized and key-checked (against the table and the
+        rest of the batch) before any is stored, so a bad row leaves the
+        table and the binlog untouched.  The batch logs the same INSERT
+        events as inserting its rows one at a time.
+        """
+        staged, keys = self._stage(rows)
+        self._store(staged, keys)
+        return len(staged)
 
     def upsert(self, values: Mapping[str, Any]) -> int:
         """Insert, or update in place when the primary key already exists."""
@@ -145,7 +142,7 @@ class Table:
         if key is not None and key in self._pk_index:
             rid = self._pk_index[key]
             self._replace(rid, row)
-            self._owner._log(
+            self._owner.binlog.append(
                 EventType.UPDATE,
                 self.name,
                 {
@@ -154,7 +151,54 @@ class Table:
                 },
             )
             return rid
-        return self.insert(values)
+        return self._store([row], [key])
+
+    def _stage(
+        self, batch: Iterable[Mapping[str, Any]]
+    ) -> tuple[list[tuple[Any, ...]], list[tuple[Any, ...] | None]]:
+        """Normalize and key-check rows for :meth:`_store`; stores nothing."""
+        normalize = self.schema.normalize_row
+        key_of = self.schema.key_of
+        rows: list[tuple[Any, ...]] = []
+        keys: list[tuple[Any, ...] | None] = []
+        staged: set[tuple[Any, ...]] = set()
+        for values in batch:
+            row = normalize(values)
+            key = key_of(row)
+            if key is not None:
+                if key in self._pk_index or key in staged:
+                    raise PrimaryKeyError(
+                        f"table {self.name!r}: duplicate primary key {key!r}"
+                    )
+                staged.add(key)
+            rows.append(row)
+            keys.append(key)
+        return rows, keys
+
+    def _store(
+        self,
+        rows: Sequence[tuple[Any, ...]],
+        keys: Sequence[tuple[Any, ...] | None],
+    ) -> int:
+        """Append staged rows, index them and log one INSERT per row;
+        returns the first new row id."""
+        first = len(self._rows)
+        if not rows:
+            return first
+        self._rows.extend(rows)
+        self._live_count += len(rows)
+        self._mutated()
+        for rid, (row, key) in enumerate(zip(rows, keys), first):
+            if key is not None:
+                self._pk_index[key] = rid
+            self._index_add(rid, row)
+        names = self.schema.column_names
+        self._owner.binlog.append_many(
+            EventType.INSERT,
+            self.name,
+            [{"row": dict(zip(names, row))} for row in rows],
+        )
+        return first
 
     def get(self, key: Sequence[Any]) -> dict[str, Any] | None:
         """Primary-key point lookup; returns the row dict or None."""
@@ -180,29 +224,51 @@ class Table:
             if not predicate(asdict):
                 continue
             asdict.update(changes)
-            new_row = self.schema.normalize_row(asdict)
-            new_key = self.schema.key_of(new_row)
-            old_key = self.schema.key_of(row)
-            if new_key != old_key and new_key in self._pk_index:
-                raise PrimaryKeyError(
-                    f"table {self.name!r}: update collides on key {new_key!r}"
-                )
-            if old_key is not None:
-                del self._pk_index[old_key]
-            if new_key is not None:
-                self._pk_index[new_key] = rid
-            self._replace(rid, new_row)
-            self._owner._log(
-                EventType.UPDATE,
-                self.name,
-                {
-                    "key": list(new_key) if new_key is not None else None,
-                    "old_row": dict(zip(names, row)),
-                    "row": dict(zip(names, new_row)),
-                },
-            )
+            self._update_at(rid, row, self.schema.normalize_row(asdict))
             updated += 1
         return updated
+
+    def replace_row(
+        self, old_values: Mapping[str, Any], values: Mapping[str, Any]
+    ) -> bool:
+        """Replace the first live row equal to ``old_values`` with ``values``.
+
+        Logged like :meth:`update_where`.  Returns False, changing nothing,
+        when no live row is equal.  NaN counts as equal to NaN here, so a
+        row holding one still matches its own before-image.  Replication uses it for keyless tables,
+        whose rows have no identity but their contents.
+        """
+        target = _nan_free(self.schema.normalize_row(old_values))
+        for rid, row in enumerate(self._rows):
+            if row is not None and _nan_free(row) == target:
+                self._update_at(rid, row, self.schema.normalize_row(values))
+                return True
+        return False
+
+    def _update_at(
+        self, rid: int, row: tuple[Any, ...], new_row: tuple[Any, ...]
+    ) -> None:
+        names = self.schema.column_names
+        new_key = self.schema.key_of(new_row)
+        old_key = self.schema.key_of(row)
+        if new_key != old_key and new_key in self._pk_index:
+            raise PrimaryKeyError(
+                f"table {self.name!r}: update collides on key {new_key!r}"
+            )
+        if old_key is not None:
+            del self._pk_index[old_key]
+        if new_key is not None:
+            self._pk_index[new_key] = rid
+        self._replace(rid, new_row)
+        self._owner.binlog.append(
+            EventType.UPDATE,
+            self.name,
+            {
+                "key": list(new_key) if new_key is not None else None,
+                "old_row": dict(zip(names, row)),
+                "row": dict(zip(names, new_row)),
+            },
+        )
 
     def delete_where(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns count deleted."""
@@ -214,20 +280,40 @@ class Table:
             asdict = dict(zip(names, row))
             if not predicate(asdict):
                 continue
-            key = self.schema.key_of(row)
-            if key is not None:
-                del self._pk_index[key]
-            self._index_remove(rid, row)
-            self._rows[rid] = None
-            self._live_count -= 1
-            self._mutated()
-            self._owner._log(
-                EventType.DELETE,
-                self.name,
-                {"key": list(key) if key is not None else None, "row": asdict},
-            )
+            self._delete_at(rid, row, asdict)
             deleted += 1
         return deleted
+
+    def delete_key(self, key: Sequence[Any]) -> bool:
+        """Delete the row with primary key ``key`` through the PK index.
+
+        Same bookkeeping and binlog event as :meth:`delete_where` matching
+        that one row; returns False when no row has the key.
+        """
+        if not self.schema.primary_key:
+            raise SchemaError(f"table {self.name!r} has no primary key")
+        rid = self._pk_index.get(tuple(key))
+        if rid is None:
+            return False
+        row = self.row_at(rid)
+        self._delete_at(rid, row, dict(zip(self.schema.column_names, row)))
+        return True
+
+    def _delete_at(
+        self, rid: int, row: tuple[Any, ...], asdict: dict[str, Any]
+    ) -> None:
+        key = self.schema.key_of(row)
+        if key is not None:
+            del self._pk_index[key]
+        self._index_remove(rid, row)
+        self._rows[rid] = None
+        self._live_count -= 1
+        self._mutated()
+        self._owner.binlog.append(
+            EventType.DELETE,
+            self.name,
+            {"key": list(key) if key is not None else None, "row": asdict},
+        )
 
     def truncate(self) -> None:
         """Remove all rows (logged as one TRUNCATE event)."""
@@ -237,7 +323,7 @@ class Table:
         for idx in self._indexes.values():
             idx.clear()
         self._mutated()
-        self._owner._log(EventType.TRUNCATE, self.name, {})
+        self._owner.binlog.append(EventType.TRUNCATE, self.name, {})
 
     # -- index plumbing -----------------------------------------------------
 
@@ -259,13 +345,12 @@ class Table:
         return set(self._indexes[column].get(value, ()))
 
     def _index_add(self, rid: int, row: tuple[Any, ...]) -> None:
-        for col, idx in self._indexes.items():
-            value = row[self.schema.position(col)]
-            idx.setdefault(value, set()).add(rid)
+        for idx, pos in self._index_slots:
+            idx.setdefault(row[pos], set()).add(rid)
 
     def _index_remove(self, rid: int, row: tuple[Any, ...]) -> None:
-        for col, idx in self._indexes.items():
-            value = row[self.schema.position(col)]
+        for idx, pos in self._index_slots:
+            value = row[pos]
             bucket = idx.get(value)
             if bucket is not None:
                 bucket.discard(rid)
@@ -390,9 +475,6 @@ class Schema:
         self.binlog = Binlog(on_append=on_append, trace_provider=trace_provider)
         self._lock = create_lock(f"Schema:{name}", rlock=True)  # guards: _tables, _data_version
 
-    def _log(self, etype: EventType, table: str, data: dict[str, Any]) -> BinlogEvent:
-        return self.binlog.append(etype, table, data)
-
     def _bump_data_version(self) -> None:
         # += on an int is read-modify-write: concurrent table mutators
         # (nightly ingest overlapping a replication tail) could lose
@@ -423,7 +505,7 @@ class Schema:
             table = Table(self, table_schema)
             self._tables[table_schema.name] = table
             self._bump_data_version()
-            self._log(
+            self.binlog.append(
                 EventType.CREATE_TABLE, table_schema.name, table_schema.to_dict()
             )
             return table
@@ -436,7 +518,7 @@ class Schema:
                 )
             del self._tables[name]
             self._bump_data_version()
-            self._log(EventType.DROP_TABLE, name, {})
+            self.binlog.append(EventType.DROP_TABLE, name, {})
 
     def table(self, name: str) -> Table:
         try:
@@ -486,14 +568,21 @@ class Schema:
             else:
                 table.insert(row)
         elif event.etype is EventType.UPDATE:
-            table.upsert(event.data["row"])
+            # update_where events carry the before-image: an update that
+            # changed the key, or any update on a keyless table, must not
+            # leave the old row behind
+            row, old_row = event.data["row"], event.data.get("old_row")
+            pk = table.schema.primary_key
+            if pk:
+                old_key = None if old_row is None else [old_row[c] for c in pk]
+                if old_key is not None and old_key != event.data["key"]:
+                    table.delete_key(old_key)
+                table.upsert(row)
+            elif old_row is None or not table.replace_row(old_row, row):
+                table.insert(row)
         elif event.etype is EventType.DELETE:
             if event.data.get("key") is not None and table.schema.primary_key:
-                key = tuple(event.data["key"])
-                pk = table.schema.primary_key
-                table.delete_where(
-                    lambda r, key=key, pk=pk: tuple(r[c] for c in pk) == key
-                )
+                table.delete_key(event.data["key"])
             else:
                 target = event.data.get("row", {})
                 table.delete_where(

@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import SchemaError, TypeMismatchError
 
@@ -69,6 +70,18 @@ class ColumnType(enum.Enum):
                 ) from exc
             return value
         raise AssertionError(f"unhandled column type {self}")  # pragma: no cover
+
+
+#: the type a value must have exactly to already be in stored form (JSON:
+#: none — every JSON value is checked for serializability)
+_EXACT_TYPES: dict[ColumnType, type | None] = {
+    ColumnType.INT: int,
+    ColumnType.TIMESTAMP: int,
+    ColumnType.FLOAT: float,
+    ColumnType.STR: str,
+    ColumnType.BOOL: bool,
+    ColumnType.JSON: None,
+}
 
 
 @dataclass(frozen=True)
@@ -142,21 +155,48 @@ class TableSchema:
                     f"table {self.name!r}: index column {idx_col!r} undefined"
                 )
 
-    @property
+    # -- compiled row codec: derived once per (immutable) schema -----------
+
+    @cached_property
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.column_names)}
+
+    @cached_property
+    def _codec(self) -> tuple[tuple[str, type | None, Callable[..., Any], Any, bool], ...]:
+        """Per column: ``(name, exact type, validator, default, required)``.
+
+        A value whose ``type()`` is exactly the column's type is already in
+        stored form, so :meth:`normalize_row` skips the validator for it;
+        JSON has no such type and is always validated.
+        """
+        pk = set(self.primary_key)
+        return tuple(
+            (
+                col.name,
+                _EXACT_TYPES[col.ctype],
+                col.ctype.validate,
+                col.default,
+                not col.nullable or col.name in pk,
+            )
+            for col in self.columns
+        )
+
+    @cached_property
+    def pk_positions(self) -> tuple[int, ...]:
+        return tuple(self.position(c) for c in self.primary_key)
+
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return self.columns[self.position(name)]
 
     def position(self, name: str) -> int:
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
 
     def normalize_row(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """Validate a mapping of column values and return the stored tuple.
@@ -164,29 +204,30 @@ class TableSchema:
         Missing columns take their default; unknown keys are an error; NULL
         constraints (including implicit PK non-nullability) are enforced.
         """
-        unknown = set(values) - set(self.column_names)
-        if unknown:
+        if not self._positions.keys() >= values.keys():
+            unknown = values.keys() - self._positions.keys()
             raise SchemaError(
                 f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
             )
         row: list[Any] = []
-        for col in self.columns:
-            if col.name in values:
-                stored = col.ctype.validate(values[col.name], column=col.name)
+        for name, exact, validate, default, required in self._codec:
+            if name in values:
+                stored = values[name]
+                if stored is not None and type(stored) is not exact:
+                    stored = validate(stored, column=name)
             else:
-                stored = col.default
-            if stored is None and (not col.nullable or col.name in self.primary_key):
+                stored = default
+            if stored is None and required:
                 raise TypeMismatchError(
-                    f"table {self.name!r}: column {col.name!r} may not be NULL"
+                    f"table {self.name!r}: column {name!r} may not be NULL"
                 )
             row.append(stored)
         return tuple(row)
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...] | None:
         """Return the primary-key tuple for a stored row, or None if keyless."""
-        if not self.primary_key:
-            return None
-        return tuple(row[self.position(c)] for c in self.primary_key)
+        positions = self.pk_positions
+        return tuple([row[p] for p in positions]) if positions else None
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable description (used by dumps and replication)."""
