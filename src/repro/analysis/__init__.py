@@ -8,83 +8,51 @@ Public API::
     findings = engine.lint_paths(["src/repro"])
 
 See ``docs/static-analysis.md`` for the rule catalog, the suppression
-syntax, and the baseline workflow.
-
-This ``__init__`` resolves its exports lazily (PEP 562).  That is not a
-style choice: production modules (``repro.warehouse.binlog``,
-``repro.ui.serving``, ``repro.obs.metrics``, …) import
-:mod:`repro.analysis.sanitizer` to construct their locks, and an eager
-``__init__`` would drag the whole lint engine — including the schema
-catalog, which imports the warehouse back — into every production import,
-creating a cycle (``warehouse -> analysis -> catalog -> warehouse``).
-Lazily, ``import repro.analysis.sanitizer`` touches nothing but the
-stdlib.
+syntax, and the baseline workflow.  The runtime lock sanitizer that pairs
+with the concurrency rules lives in :mod:`repro.locks`, outside this
+package, so production code never imports the lint engine.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Any
+from .baseline import load_baseline, partition, save_baseline
+from .catalog import SchemaCatalog, build_default_catalog
+from .concurrency import (
+    ALL_PROJECT_RULES,
+    BlockingCallUnderLockRule,
+    ClassLockModel,
+    LockOrderInversionRule,
+    ProjectRule,
+    UnguardedSharedMutationRule,
+    build_class_models,
+)
+from .engine import ALL_FILE_RULES, LintEngine, iter_python_files
+from .model import Severity, SuppressionIndex, Violation, parse_suppressions
+from .rules import ALL_RULES, DEFAULT_CONFIG, LintConfig, Rule, RuleContext
 
-if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
-    from .baseline import load_baseline, partition, save_baseline
-    from .catalog import SchemaCatalog, build_default_catalog
-    from .concurrency import (
-        ALL_PROJECT_RULES,
-        BlockingCallUnderLockRule,
-        ClassLockModel,
-        LockOrderInversionRule,
-        ProjectRule,
-        UnguardedSharedMutationRule,
-        build_class_models,
-    )
-    from .engine import ALL_FILE_RULES, LintEngine, iter_python_files
-    from .model import Severity, SuppressionIndex, Violation, parse_suppressions
-    from .rules import ALL_RULES, DEFAULT_CONFIG, LintConfig, Rule, RuleContext
-
-#: export name -> defining submodule (relative to this package)
-_EXPORTS: dict[str, str] = {
-    "ALL_FILE_RULES": ".engine",
-    "ALL_PROJECT_RULES": ".concurrency",
-    "ALL_RULES": ".rules",
-    "BlockingCallUnderLockRule": ".concurrency",
-    "ClassLockModel": ".concurrency",
-    "DEFAULT_CONFIG": ".rules",
-    "LintConfig": ".rules",
-    "LintEngine": ".engine",
-    "LockOrderInversionRule": ".concurrency",
-    "ProjectRule": ".concurrency",
-    "Rule": ".rules",
-    "RuleContext": ".rules",
-    "SchemaCatalog": ".catalog",
-    "Severity": ".model",
-    "SuppressionIndex": ".model",
-    "UnguardedSharedMutationRule": ".concurrency",
-    "Violation": ".model",
-    "build_class_models": ".concurrency",
-    "build_default_catalog": ".catalog",
-    "iter_python_files": ".engine",
-    "load_baseline": ".baseline",
-    "parse_suppressions": ".model",
-    "partition": ".baseline",
-    "save_baseline": ".baseline",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    module = importlib.import_module(module_name, __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache so the lookup runs once
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = [
+    "ALL_FILE_RULES",
+    "ALL_PROJECT_RULES",
+    "ALL_RULES",
+    "BlockingCallUnderLockRule",
+    "ClassLockModel",
+    "DEFAULT_CONFIG",
+    "LintConfig",
+    "LintEngine",
+    "LockOrderInversionRule",
+    "ProjectRule",
+    "Rule",
+    "RuleContext",
+    "SchemaCatalog",
+    "Severity",
+    "SuppressionIndex",
+    "UnguardedSharedMutationRule",
+    "Violation",
+    "build_class_models",
+    "build_default_catalog",
+    "iter_python_files",
+    "load_baseline",
+    "parse_suppressions",
+    "partition",
+    "save_baseline",
+]

@@ -23,7 +23,7 @@ contributes its lock fields and nested-``with`` acquisition edges
 (``A held while acquiring B``); the finalize phase resolves foreign lock
 references across files, builds the global acquisition digraph over
 ``Class.attr`` nodes, and flags every cycle (the static ABBA shape the
-runtime sanitizer in :mod:`repro.analysis.sanitizer` confirms
+runtime sanitizer in :mod:`repro.locks` confirms
 dynamically).
 
 **R10 ``blocking-call-under-lock``** — ``sleep``/``join()``/file and

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from ..etl.pipeline import WAREHOUSE_SCHEMA
 from ..warehouse import (
@@ -28,28 +28,29 @@ from ..warehouse import (
     read_dump_file,
     write_dump_file,
 )
-from ..warehouse.dump import dump_checksum
 from .errors import ConsistencyError, MembershipError
 from .federation import FederationHub
 
 
+class _WithoutAggregates:
+    """Dump filter for a member backup: every table but the hub's ``agg_*``."""
+
+    def table_allowed(self, table: str) -> bool:
+        return not table.startswith("agg_")
+
+    def row_allowed(self, table: str, row: Mapping[str, Any]) -> bool:
+        return True
+
+
 def _member_dump(hub: FederationHub, member_name: str) -> dict[str, Any]:
-    """Dump a member's hub-side schema, aggregates stripped, re-checksummed."""
+    """Dump a member's hub-side schema, aggregates stripped."""
     member = hub.member(member_name)
     if not hub.database.has_schema(member.fed_schema):
         raise MembershipError(
             f"hub holds no replicated schema for {member_name!r}"
         )
     source = hub.database.schema(member.fed_schema)
-    dump = dump_schema(source)
-    dump["tables"] = [
-        entry
-        for entry in dump["tables"]
-        if not entry["schema"]["name"].startswith("agg_")
-    ]
-    # subset of tables: recompute the checksum over what actually ships
-    dump["checksum"] = dump_checksum(dump)
-    return dump
+    return dump_schema(source, _WithoutAggregates())
 
 
 def _restore(

@@ -29,50 +29,7 @@ from ..warehouse import (
     read_dump_file,
     write_dump_file,
 )
-from ..warehouse.dump import dump_checksum
-from .replicator import (
-    RESOURCE_SCOPED_TABLES,
-    ReplicationChannel,
-    ReplicationFilter,
-)
-
-
-def _filtered_dump(source: Schema, filter: ReplicationFilter) -> dict[str, Any]:
-    """Dump ``source`` with the channel filter applied to tables and rows."""
-    full = dump_schema(source)
-    resource_names: dict[int, str] = {}
-    if source.has_table("dim_resource"):
-        for row in source.table("dim_resource").rows():
-            resource_names[row["resource_id"]] = row["name"]
-
-    def row_allowed(table_name: str, row: dict[str, Any]) -> bool:
-        if table_name == "dim_resource":
-            if not filter.drop_excluded_dim_rows:
-                return True
-            return not filter._resource_excluded(row["name"])
-        if table_name in RESOURCE_SCOPED_TABLES:
-            name = resource_names.get(row.get("resource_id"))
-            if name is not None and filter._resource_excluded(name):
-                return False
-        return True
-
-    tables = []
-    for entry in full["tables"]:
-        name = entry["schema"]["name"]
-        if not filter.table_allowed(name):
-            continue
-        columns = [c["name"] for c in entry["schema"]["columns"]]
-        rows = [
-            row
-            for row in entry["rows"]
-            if row_allowed(name, dict(zip(columns, row)))
-        ]
-        tables.append({"schema": entry["schema"], "rows": rows})
-    full["tables"] = tables
-    # the original checksum covered the unfiltered content; recompute it
-    # over the filtered document so the hub can verify exactly what ships
-    full["checksum"] = dump_checksum(full)
-    return full
+from .replicator import ReplicationChannel, ReplicationFilter
 
 
 class LooseChannel:
@@ -103,7 +60,7 @@ class LooseChannel:
         table content), so the hub-side load re-parents into the trace
         that produced the data.
         """
-        dump = _filtered_dump(self.source, self.filter)
+        dump = dump_schema(self.source, self.filter.for_dump(self.source))
         context = self.source.binlog.trace_context(
             self.source.binlog.head_lsn - 1
         )

@@ -26,8 +26,9 @@ hub's per-instance schema (``fed_<instance>`` by convention).  A
 from __future__ import annotations
 
 import contextlib
+import copy
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..etl.perfingest import HEAVY_TABLES
 from ..etl.star import JOBS_REALM_TABLES
@@ -115,28 +116,40 @@ class ReplicationFilter:
             return True
         return False
 
-    def _row_allowed(self, event: BinlogEvent) -> bool:
-        row = event.data.get("row") or {}
-        if event.table == "dim_resource":
-            rid = row.get("resource_id")
-            name = row.get("name")
-            if rid is not None and name is not None:
+    def row_allowed(self, table: str, row: Mapping[str, Any]) -> bool:
+        """The resource-routing rule for one row, tight or loose.
+
+        A ``dim_resource`` row teaches the filter its resource's name (and
+        is itself dropped when that resource is excluded, unless
+        ``drop_excluded_dim_rows`` is off); a resource-scoped fact row is
+        dropped when its resource's name is excluded.  Rows of resources
+        the filter has not learned yet pass.
+        """
+        if table == "dim_resource":
+            rid, name = row.get("resource_id"), row.get("name")
+            if name is None:
+                return True
+            if rid is not None:
                 self._resource_names[rid] = name
-            if name is not None and self.drop_excluded_dim_rows:
-                return not self._resource_excluded(name)
-            return True
-        if event.table in RESOURCE_SCOPED_TABLES:
-            rid = row.get("resource_id")
-            if rid is None and event.etype is EventType.DELETE:
-                # key-only delete: key order matches the PK; resource_id is
-                # the first PK component on all resource-scoped tables
-                key = event.data.get("key")
-                if key:
-                    rid = key[0]
-            name = self._resource_names.get(rid)
-            if name is not None and self._resource_excluded(name):
-                return False
+            return not (self.drop_excluded_dim_rows and self._resource_excluded(name))
+        if table in RESOURCE_SCOPED_TABLES:
+            name = self._resource_names.get(row.get("resource_id"))
+            return name is None or not self._resource_excluded(name)
         return True
+
+    def for_dump(self, source: Schema) -> "ReplicationFilter":
+        """A copy of this filter for a loose dump of ``source``.
+
+        A dump never sees ``dim_resource`` inserts stream past, so the copy
+        learns every resource name of ``source`` up front; this filter's
+        own learned names stay untouched.
+        """
+        dump_filter = copy.copy(self)
+        dump_filter._resource_names = {}
+        if source.has_table("dim_resource"):
+            for row in source.table("dim_resource").rows():
+                dump_filter.row_allowed("dim_resource", row)
+        return dump_filter
 
     def admit(self, event: BinlogEvent) -> bool:
         """True when ``event`` should be applied to the hub."""
@@ -146,7 +159,17 @@ class ReplicationFilter:
             EventType.CREATE_TABLE, EventType.DROP_TABLE, EventType.TRUNCATE
         ):
             return True
-        return self._row_allowed(event)
+        row = event.data.get("row") or {}
+        key = event.data.get("key")
+        if (
+            event.etype is EventType.DELETE and key
+            and row.get("resource_id") is None
+            and event.table in RESOURCE_SCOPED_TABLES
+        ):
+            # key-only delete: key order matches the PK; resource_id is
+            # the first PK component on all resource-scoped tables
+            row = {"resource_id": key[0]}
+        return self.row_allowed(event.table, row)
 
 
 @dataclass

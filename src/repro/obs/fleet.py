@@ -49,10 +49,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..analysis.sanitizer import create_lock
+from ..locks import create_lock
 from .clock import Clock
 from .history import MetricsHistory
-from .metrics import MetricsRegistry, _fmt, _render_labels
+from .metrics import MetricsRegistry, _family_of, _fmt, _format_exposition
 
 __all__ = [
     "SEQ_SERIES",
@@ -359,16 +359,6 @@ class FleetTSDB:
 
     # -- exposition --------------------------------------------------------
 
-    def _family_of(self, sample_name: str) -> str:
-        if sample_name in self._types:
-            return sample_name
-        for suffix in ("_bucket", "_count", "_sum"):
-            if sample_name.endswith(suffix):
-                base = sample_name[: -len(suffix)]
-                if self._types.get(base) == "histogram":
-                    return base
-        return sample_name
-
     def render_prometheus(self) -> str:
         """Merged fleet exposition: newest value of every member series.
 
@@ -376,26 +366,14 @@ class FleetTSDB:
         ``# TYPE`` maps (first shipment wins); output order is
         deterministic (family name, then sample name and labels).
         """
-        families: dict[str, list[tuple[str, tuple, float]]] = {}
+        samples = []
         for key in self.history.series_keys():
             latest = self.history.last_sample(key)
-            if latest is None:
-                continue
-            sample_name, labels = key
-            families.setdefault(self._family_of(sample_name), []).append(
-                (sample_name, labels, latest[1])
-            )
-        lines: list[str] = []
-        for family in sorted(families):
-            type_name = self._types.get(family, "untyped")
-            lines.append(f"# TYPE {family} {type_name}")
-            for sample_name, labels, value in sorted(
-                families[family], key=lambda s: (s[0], s[1])
-            ):
-                lines.append(
-                    f"{sample_name}{_render_labels(dict(labels))} {_fmt(value)}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
+            if latest is not None:
+                samples.append((key[0], key[1], latest[1]))
+        families = sorted({_family_of(s[0], self._types) for s in samples})
+        headers = {f: (None, self._types.get(f, "untyped")) for f in families}
+        return _format_exposition(headers, samples)
 
     def to_dict(self) -> dict:
         return {

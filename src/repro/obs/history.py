@@ -3,7 +3,7 @@
 ``GET /metrics`` exposes the registry's *current* values; alerting on
 replication-lag growth or sync-failure burn rates needs the values *over
 time*.  :class:`MetricsHistory` snapshots every counter/gauge (and each
-histogram's ``_count``/``_sum``) whenever the federation hub completes a
+histogram's ``_sum``/``_count``) whenever the federation hub completes a
 sync cycle or the REST exporter is scraped, and answers the small query
 vocabulary the SLO engine and the monitor sparklines need: ``last()``,
 ``age_s()``, ``delta()``, ``increase()``, ``rate()`` and
@@ -131,22 +131,21 @@ class MetricsHistory:
     def record(self, *, now: float | None = None) -> int:
         """Snapshot every registry child; returns series touched.
 
-        Called by :meth:`FederationHub.sync`, :meth:`FederationHub.ship_loose`
-        and the ``/metrics`` scrape handler; safe to call from anywhere
-        else (an extra sample is just an extra sample).
+        Reads the registry's exposition walk minus the histogram
+        ``_bucket`` series: counters and gauges, and each histogram's
+        ``_sum`` and ``_count``.  Called by :meth:`FederationHub.sync`,
+        :meth:`FederationHub.ship_loose` and the ``/metrics`` scrape
+        handler; safe to call from anywhere else (an extra sample is just
+        an extra sample).
         """
         if not self.enabled:
             return 0
         t = float(self._clock.now() if now is None else now)
         n = 0
-        for name, labels, value in self._registry.iter_scalar_samples():
-            series = self._series.get((name, labels))
-            if series is None:
-                series = self._series.setdefault((name, labels), _Series())
-            series.append(t, value)
-            if len(series.samples) > self.max_samples:
-                self._compact_series(series, t)
-                del series.samples[: max(0, len(series.samples) - self.max_samples)]
+        for name, labels, value in self._registry.iter_exposition_samples():
+            if name.endswith("_bucket"):
+                continue
+            self.observe_key((name, labels), value, now=t)
             n += 1
         self._records += 1
         if self._records % 16 == 0:

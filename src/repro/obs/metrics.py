@@ -24,9 +24,9 @@ telemetry error, corruption is not possible).
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from ..analysis.sanitizer import create_lock
+from ..locks import create_lock
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -76,13 +76,51 @@ def _escape_label(value: str) -> str:
     )
 
 
-def _render_labels(labels: Mapping[str, str], extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label(str(v))}"' for k, v in sorted(labels.items())]
-    if extra:
-        parts.append(extra)
-    if not parts:
-        return ""
-    return "{" + ",".join(parts) + "}"
+def _render_labels(labels: Iterable[tuple[str, str]]) -> str:
+    parts = ",".join(f'{k}="{_escape_label(v)}"' for k, v in labels)
+    return "{" + parts + "}" if parts else ""
+
+
+#: ``(sample_name, sorted ((label, value), ...), value)`` — one exposed sample.
+Sample = tuple[str, tuple[tuple[str, str], ...], float]
+
+
+def _family_of(sample_name: str, types: Mapping[str, str]) -> str:
+    """The family a sample belongs to: a histogram's ``_bucket``,
+    ``_sum`` and ``_count`` samples fold into their base name."""
+    if sample_name not in types:
+        for suffix in ("_bucket", "_count", "_sum"):
+            if sample_name.endswith(suffix):
+                base = sample_name[: -len(suffix)]
+                if types.get(base) == "histogram":
+                    return base
+    return sample_name
+
+
+def _format_exposition(
+    headers: Mapping[str, tuple[str | None, str]], samples: Iterable[Sample]
+) -> str:
+    """Prometheus text exposition format 0.0.4.
+
+    ``headers`` maps each family name to ``(help, type)``, in output
+    order (``help=None`` omits the ``# HELP`` line).  Samples are grouped
+    under their family, keeping the caller's order within a family;
+    samples of a family without a header are left out.
+    """
+    types = {name: type_name for name, (_, type_name) in headers.items()}
+    grouped: dict[str, list[Sample]] = {name: [] for name in headers}
+    for sample in samples:
+        family = grouped.get(_family_of(sample[0], types))
+        if family is not None:
+            family.append(sample)
+    lines: list[str] = []
+    for name, (help_text, type_name) in headers.items():
+        if help_text is not None:
+            lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} {type_name}")
+        for sample_name, labels, value in grouped[name]:
+            lines.append(f"{sample_name}{_render_labels(labels)} {_fmt(value)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class _NoopChild:
@@ -326,64 +364,47 @@ class MetricsRegistry:
 
     # -- queries ---------------------------------------------------------------
 
-    def _find_child(self, name: str, labels: Mapping[str, str]):
+    def _sorted_families(self) -> list[_Family]:
+        with self._lock:
+            return sorted(self._families.values(), key=lambda f: f.name)
+
+    def _child(self, name: str, labels: Mapping[str, str]):
+        """The child with exactly ``labels`` (None when absent or partial)."""
         family = self._families.get(name)
-        if family is None:
+        if family is None or set(labels) != set(family.labelnames):
             return None
-        for child_labels, child in family.items():
-            if child_labels == {k: str(v) for k, v in labels.items()}:
-                return child
-        return None
+        return family._children.get(
+            tuple(str(labels[n]) for n in family.labelnames)
+        )
 
     def value(self, name: str, **labels: str) -> float:
         """Current value of a counter/gauge child (0.0 when absent)."""
-        child = self._find_child(name, labels)
-        if child is None or not isinstance(child, (_Counter, _Gauge)):
+        child = self._child(name, labels)
+        if not isinstance(child, (_Counter, _Gauge)):
             return 0.0
         return child.value
 
     def histogram_stats(self, name: str, **labels: str) -> tuple[int, float]:
         """``(count, sum)`` of a histogram child ((0, 0.0) when absent)."""
-        child = self._find_child(name, labels)
-        if child is None or not isinstance(child, _Histogram):
+        child = self._child(name, labels)
+        if not isinstance(child, _Histogram):
             return (0, 0.0)
         return (child.count, child.sum)
 
-    def iter_scalar_samples(self):
-        """Yield ``(sample_name, sorted label items, value)`` per child.
-
-        Counters and gauges yield their value; a histogram yields
-        synthetic ``<name>_count`` and ``<name>_sum`` series.  Iteration
-        order is deterministic (family name, then label values) — this is
-        the walk :class:`~repro.obs.history.MetricsHistory` snapshots.
-        """
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
-            for labels, child in family.items():
-                key = tuple(sorted(labels.items()))
-                if isinstance(child, _Histogram):
-                    yield family.name + "_count", key, float(child.count)
-                    yield family.name + "_sum", key, child.sum
-                else:
-                    yield family.name, key, float(child.value)  # type: ignore[attr-defined]
-
-    def iter_exposition_samples(self):
+    def iter_exposition_samples(self) -> Iterator[Sample]:
         """Yield ``(sample_name, sorted label items, value)`` per sample.
 
-        The full exposition walk — histogram ``_bucket`` (cumulative,
-        ``le``-labelled, ``+Inf`` included), ``_sum`` and ``_count``
-        series and all — producing exactly the samples
-        :func:`parse_prometheus_text` recovers from
-        :meth:`render_prometheus`, without the text round-trip.  The
-        telemetry shipment builder walks this on every sync cycle, so it
-        must stay cheap and byte-compatible with the rendered form.
+        The one sample walk over the registry, in family-name then
+        label-value order.  Counters and gauges yield their value; a
+        histogram yields its cumulative ``le``-labelled ``_bucket`` series
+        (``+Inf`` included), then ``_sum`` and ``_count``.
+        :meth:`render_prometheus` formats it, the metrics history records
+        it (buckets skipped) and the telemetry shipment builder ships it
+        on every sync cycle, so it must stay cheap.
         """
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
+        for family in self._sorted_families():
             for labels, child in family.items():
-                base = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+                base = tuple(sorted(labels.items()))
                 if isinstance(child, _Histogram):
                     cumulative = 0
                     for bound, n in zip(child.buckets, child.counts):
@@ -400,46 +421,26 @@ class MetricsRegistry:
 
     def type_names(self) -> dict[str, str]:
         """Family name -> exposition type, in family-name order."""
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        return {family.name: family.type_name for family in families}
+        return {f.name: f.type_name for f in self._sorted_families()}
 
     # -- exposition ------------------------------------------------------------
 
     def render_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format 0.0.4."""
-        lines: list[str] = []
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
-            lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.type_name}")
-            for labels, child in family.items():
-                if isinstance(child, _Histogram):
-                    cumulative = 0
-                    for bound, n in zip(child.buckets, child.counts):
-                        cumulative += n
-                        le = _render_labels(labels, f'le="{_fmt(bound)}"')
-                        lines.append(f"{family.name}_bucket{le} {cumulative}")
-                    cumulative += child.counts[-1]
-                    le = _render_labels(labels, 'le="+Inf"')
-                    lines.append(f"{family.name}_bucket{le} {cumulative}")
-                    label_str = _render_labels(labels)
-                    lines.append(f"{family.name}_sum{label_str} {_fmt(child.sum)}")
-                    lines.append(f"{family.name}_count{label_str} {child.count}")
-                else:
-                    label_str = _render_labels(labels)
-                    lines.append(
-                        f"{family.name}{label_str} {_fmt(child.value)}"  # type: ignore[attr-defined]
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
+        """The registry in Prometheus text exposition format 0.0.4.
+
+        Formats :meth:`iter_exposition_samples` under each family's
+        ``# HELP``/``# TYPE`` header; a bucket line's labels are in
+        sorted order, ``le`` included.
+        """
+        headers = {
+            f.name: (f.help, f.type_name) for f in self._sorted_families()
+        }
+        return _format_exposition(headers, self.iter_exposition_samples())
 
     def snapshot(self) -> dict:
         """JSON-friendly dump of every family and child."""
         out: dict = {}
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
+        for family in self._sorted_families():
             values = []
             for labels, child in family.items():
                 if isinstance(child, _Histogram):

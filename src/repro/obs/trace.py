@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from ..analysis.sanitizer import create_lock
+from ..locks import create_lock
 from .clock import Clock, MonotonicClock
 
 __all__ = ["SpanRecord", "Tracer"]

@@ -50,7 +50,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
-from ..analysis.sanitizer import create_lock
+from ..locks import create_lock
 from ..auth.accounts import Session
 from ..obs import PROMETHEUS_CONTENT_TYPE, Observability, alert_rule
 from ..realms.base import Realm

@@ -43,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from ..analysis.sanitizer import create_lock
+from ..locks import create_lock
 from ..obs import Observability
 from ..realms.base import Realm, RealmQueryError
 from ..warehouse import Schema

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from ..analysis.sanitizer import create_lock
+from ..locks import create_lock
 from .errors import BinlogError
 
 

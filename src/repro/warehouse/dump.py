@@ -22,7 +22,7 @@ import hashlib
 import json
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping, Protocol
 
 from .engine import Database, Schema
 from .errors import DumpError
@@ -56,8 +56,7 @@ def dump_checksum(dump: dict[str, Any]) -> str:
     Equals :meth:`Schema.checksum` of the schema the dump describes —
     whether computed satellite-side before shipping or hub-side after —
     so the two sides can agree on integrity without materializing
-    anything.  Filtered dumps (loose federation's resource routing)
-    recompute this over the *filtered* content.
+    anything.  A filtered dump's checksum covers the *filtered* content.
     """
     h = hashlib.sha256()
     entries = sorted(dump["tables"], key=lambda e: e["schema"]["name"])
@@ -67,22 +66,41 @@ def dump_checksum(dump: dict[str, Any]) -> str:
     return h.hexdigest()
 
 
-def dump_schema(schema: Schema) -> dict[str, Any]:
-    """Serialize one schema to a plain dict (tables, rows, binlog head)."""
+class DumpFilter(Protocol):
+    """Which tables and rows :func:`dump_schema` keeps."""
+
+    def table_allowed(self, table: str) -> bool: ...
+
+    def row_allowed(self, table: str, row: Mapping[str, Any]) -> bool: ...
+
+
+def dump_schema(
+    schema: Schema, filter: DumpFilter | None = None
+) -> dict[str, Any]:
+    """Serialize one schema to a plain dict (tables, rows, binlog head).
+
+    With ``filter``, only the tables and rows it allows are dumped (loose
+    federation's routing, a backup without aggregates).  The content
+    checksum is computed once, over the document as returned.
+    """
     tables = []
     for name in schema.table_names():
+        if filter is not None and not filter.table_allowed(name):
+            continue
         table = schema.table(name)
-        tables.append(
-            {
-                "schema": table.schema.to_dict(),
-                "rows": [list(row) for row in table.raw_rows()],
-            }
-        )
+        rows = [list(row) for row in table.raw_rows()]
+        if filter is not None:
+            columns = table.schema.column_names
+            rows = [
+                row for row in rows
+                if filter.row_allowed(name, dict(zip(columns, row)))
+            ]
+        tables.append({"schema": table.schema.to_dict(), "rows": rows})
     return {
         "format_version": DUMP_FORMAT_VERSION,
         "schema_name": schema.name,
         "binlog_head": schema.binlog.head_lsn,
-        "checksum": schema.checksum(),
+        "checksum": dump_checksum({"tables": tables}),
         "tables": tables,
     }
 

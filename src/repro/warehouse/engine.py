@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..analysis.sanitizer import create_lock
+from ..locks import create_lock
 from .binlog import Binlog, BinlogEvent, EventType
 from .errors import (
     DuplicateObjectError,

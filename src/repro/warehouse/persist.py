@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .dump import load_schema, read_dump_file, write_dump_file
+from .dump import dump_schema, load_schema, read_dump_file, write_dump_file
 from .engine import Database
 from .errors import DumpError
 
@@ -39,13 +39,14 @@ def save_database(database: Database, directory: str | Path) -> Path:
     for name in database.schema_names():
         schema = database.schema(name)
         filename = f"{name}.dump.gz"
-        write_dump_file(schema, directory / filename)
+        dump = dump_schema(schema)
+        write_dump_file(dump, directory / filename)
         manifest["schemas"].append(
             {
                 "name": name,
                 "file": filename,
-                "binlog_head": schema.binlog.head_lsn,
-                "checksum": schema.checksum(),
+                "binlog_head": dump["binlog_head"],
+                "checksum": dump["checksum"],
             }
         )
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))

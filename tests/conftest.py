@@ -110,17 +110,17 @@ def lock_sanitizer():
     """Activate the runtime lock sanitizer for one test.
 
     Every lock constructed through ``create_lock`` while the fixture is
-    live becomes a :class:`~repro.analysis.sanitizer.SanitizedLock`; the
+    live becomes a :class:`~repro.locks.SanitizedLock`; the
     teardown fails the test on any observed lock-order inversion, so a
     test only has to *exercise* a code path to gate it.
     """
-    from repro.analysis import sanitizer
+    from repro import locks
 
-    monitor = sanitizer.activate(sanitizer.LockMonitor())
+    monitor = locks.activate(locks.LockMonitor())
     try:
         yield monitor
     finally:
-        sanitizer.deactivate()
+        locks.deactivate()
     if monitor.inversions:
         pytest.fail(
             "lock-order inversion detected by the runtime sanitizer:\n"

@@ -9,14 +9,18 @@ clean — proving the sanitizer detects real inversions at test time.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import sanitizer
-from repro.analysis.sanitizer import LockMonitor, SanitizedLock
+import repro
+from repro import locks
+from repro.locks import LockMonitor, SanitizedLock
 from repro.warehouse import ColumnType, Database, TableSchema, make_columns
 
 C = ColumnType
@@ -185,41 +189,41 @@ def _sanitizer_state_restored():
     """Save/restore the global monitor so these tests hold under both a
     bare run and ``REPRO_LOCK_SANITIZER=1`` (which activates at import,
     as CI's sanitizer-enabled pass does)."""
-    prior = sanitizer.current_monitor()
+    prior = locks.current_monitor()
     try:
         yield
     finally:
-        sanitizer.deactivate()
+        locks.deactivate()
         if prior is not None:
-            sanitizer.activate(prior)
+            locks.activate(prior)
 
 
 class TestCreateLock:
     def test_plain_lock_when_inactive(self, _sanitizer_state_restored):
-        sanitizer.deactivate()
-        assert sanitizer.current_monitor() is None
-        lock = sanitizer.create_lock("X")
+        locks.deactivate()
+        assert locks.current_monitor() is None
+        lock = locks.create_lock("X")
         assert not isinstance(lock, SanitizedLock)
         # duck-compatible with threading.Lock
         with lock:
             pass
 
     def test_rlock_when_inactive_is_reentrant(self, _sanitizer_state_restored):
-        sanitizer.deactivate()
-        lock = sanitizer.create_lock("X", rlock=True)
+        locks.deactivate()
+        lock = locks.create_lock("X", rlock=True)
         with lock:
             with lock:
                 pass
 
     def test_sanitized_when_active(self, _sanitizer_state_restored):
-        sanitizer.deactivate()
-        monitor = sanitizer.activate()
-        lock = sanitizer.create_lock("X")
+        locks.deactivate()
+        monitor = locks.activate()
+        lock = locks.create_lock("X")
         assert isinstance(lock, SanitizedLock)
-        assert sanitizer.enabled()
-        assert sanitizer.current_monitor() is monitor
-        sanitizer.deactivate()
-        assert not sanitizer.enabled()
+        assert locks.enabled()
+        assert locks.current_monitor() is monitor
+        locks.deactivate()
+        assert not locks.enabled()
 
     def test_production_locks_instrumented_under_fixture(self, lock_sanitizer):
         # with the fixture active, warehouse locks are SanitizedLock and
@@ -229,6 +233,37 @@ class TestCreateLock:
         assert isinstance(schema._lock, SanitizedLock)
         schema.create_table(_table_schema("jobs"))
         assert lock_sanitizer.inversions == ()
+
+
+def _fresh_interpreter(code: str, **env: str) -> str:
+    """Run ``code`` in a new interpreter on this checkout; return stdout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return result.stdout.strip()
+
+
+class TestLockModuleStandsAlone:
+    def test_production_packages_do_not_load_the_lint_package(self):
+        loaded = _fresh_interpreter(
+            "import sys, repro.warehouse, repro.obs, repro.ui; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis')))"
+        )
+        assert loaded == "[]"
+
+    def test_environment_variable_activates_the_sanitizer(self):
+        code = (
+            "from repro.warehouse import Database; from repro import locks; "
+            "print(locks.enabled(), type(Database().create_schema('m')._lock)"
+            ".__name__)"
+        )
+        assert _fresh_interpreter(code, REPRO_LOCK_SANITIZER="1") == (
+            "True SanitizedLock"
+        )
 
 
 # -- regression: the three fixed races, with real threads ---------------------

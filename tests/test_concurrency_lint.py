@@ -86,7 +86,7 @@ class TestLockInference:
     def test_create_lock_and_sanitized_lock_ctors_recognized(self):
         tree, ctx = ctx_for(
             """
-            from repro.analysis.sanitizer import create_lock, SanitizedLock
+            from repro.locks import create_lock, SanitizedLock
             class A:
                 def __init__(self):
                     self._lock = create_lock("A")  # guards: _x

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LooseChannel, ReplicationFilter
+from repro.core import LooseChannel, ReplicationChannel, ReplicationFilter
 from repro.etl import ParsedJob, ingest_jobs
 from repro.timeutil import ts
-from repro.warehouse import Database
+from repro.warehouse import Database, save_database, snapshot_info
+from repro.warehouse import dump as dump_module
+from repro.warehouse.engine import Table
 
 
 def make_job(job_id, resource="r1"):
@@ -93,3 +95,96 @@ class TestLooseChannel:
         channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
         with pytest.raises(RuntimeError):
             channel.to_tight()
+
+
+@pytest.fixture()
+def hash_calls(monkeypatch):
+    """Count table digests: dump-side ``table_rows_checksum`` calls (rows
+    hashed per call) and live ``Table.checksum`` calls."""
+    calls = {"dump": [], "live": 0}
+    dump_digest = dump_module.table_rows_checksum
+    live_digest = Table.checksum
+
+    def counting_dump(rows):
+        calls["dump"].append(len(rows))
+        return dump_digest(rows)
+
+    def counting_live(table):
+        calls["live"] += 1
+        return live_digest(table)
+
+    monkeypatch.setattr(dump_module, "table_rows_checksum", counting_dump)
+    monkeypatch.setattr(Table, "checksum", counting_live)
+    return calls
+
+
+class TestOneChecksumPerDump:
+    def test_loose_ship_hashes_each_shipped_table_once_per_side(
+        self, satellite_schema, hash_calls
+    ):
+        ingest_jobs(satellite_schema, [make_job(50, resource="secret")])
+        channel = LooseChannel(
+            satellite_schema, Database("hub"), "fed_sat",
+            filter=ReplicationFilter(exclude_resources={"secret"}),
+        )
+        shipped = channel.ship()
+        tables = shipped.table_names()
+        # once when the satellite builds the dump, once when the hub
+        # verifies it; the unfiltered source is never digested
+        assert len(hash_calls["dump"]) == 2 * len(tables)
+        assert hash_calls["live"] == 0
+        assert sum(hash_calls["dump"]) == 2 * sum(
+            len(shipped.table(name)) for name in tables
+        )
+
+    def test_save_database_hashes_each_table_once(self, hash_calls, tmp_path):
+        database = Database("sat")
+        schema = database.create_schema("modw")
+        ingest_jobs(schema, [make_job(i) for i in range(4)])
+        save_database(database, tmp_path / "snap")
+        assert len(hash_calls["dump"]) == len(schema.table_names())
+        assert hash_calls["live"] == 0
+        [entry] = snapshot_info(tmp_path / "snap")["schemas"]
+        assert entry["checksum"] == schema.checksum()
+
+
+def _hub_rows(schema):
+    return {
+        name: sorted(schema.table(name).raw_rows(), key=repr)
+        for name in schema.table_names()
+    }
+
+
+class TestTightLooseRoutingParity:
+    """Tight catch-up and a loose ship route rows by the same rule."""
+
+    @pytest.fixture()
+    def routed_satellite(self):
+        schema = Database("sat").create_schema("modw")
+        ingest_jobs(schema, [
+            make_job(i, resource=("r1", "secret", "other")[i % 3])
+            for i in range(12)
+        ])
+        return schema
+
+    @pytest.mark.parametrize("kwargs", [
+        {"exclude_resources": {"secret"}},
+        {"include_resources": {"r1", "other"}},
+        {"exclude_resources": {"secret"}, "drop_excluded_dim_rows": False},
+    ], ids=["exclude", "include", "keep-dim-rows"])
+    def test_same_rows_on_the_hub(self, routed_satellite, kwargs):
+        hub_db = Database("hub")
+        tight_target = hub_db.create_schema("fed_tight")
+        ReplicationChannel(
+            routed_satellite, tight_target, filter=ReplicationFilter(**kwargs)
+        ).catch_up()
+        loose_target = LooseChannel(
+            routed_satellite, hub_db, "fed_loose",
+            filter=ReplicationFilter(**kwargs),
+        ).ship()
+        tight, loose = _hub_rows(tight_target), _hub_rows(loose_target)
+        assert tight == loose
+        # the rule really routed: secret's facts reached neither side
+        assert 0 < len(tight["fact_job"]) < len(routed_satellite.table("fact_job"))
+        names = {r["name"] for r in tight_target.table("dim_resource").rows()}
+        assert ("secret" in names) == (kwargs.get("drop_excluded_dim_rows") is False)

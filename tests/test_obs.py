@@ -105,6 +105,30 @@ class TestMetricsRegistry:
         assert count == 3
         assert total == pytest.approx(5.55)
 
+    def test_lookups_need_the_exact_label_set(self):
+        registry = MetricsRegistry()
+        registry.counter("syncs_total", "", ("member", "status")).labels(
+            member="a", status="ok"
+        ).inc(2)
+        registry.histogram("pump_seconds", "", ("member", "stage")).labels(
+            member="a", stage="apply"
+        ).observe(0.5)
+        assert registry.value("syncs_total", status="ok", member="a") == 2.0
+        assert registry.histogram_stats(
+            "pump_seconds", member="a", stage="apply") == (1, 0.5)
+        # partial, unknown, extra and wrong-kind label sets find nothing
+        assert registry.value("syncs_total", member="a") == 0.0
+        assert registry.value("syncs_total", color="red") == 0.0
+        assert registry.value(
+            "syncs_total", member="a", status="ok", color="red") == 0.0
+        assert registry.value("syncs_total") == 0.0
+        assert registry.histogram_stats("pump_seconds", member="a") == (0, 0.0)
+        assert registry.histogram_stats("pump_seconds") == (0, 0.0)
+        assert registry.histogram_stats(
+            "syncs_total", member="a", status="ok") == (0, 0.0)
+        assert registry.value("pump_seconds", member="a", stage="apply") == 0.0
+        assert registry.value("missing_total") == 0.0
+
     def test_bad_metric_name_rejected(self):
         registry = MetricsRegistry()
         for name in ("Events_total", "events", "events_count", "1e_total"):
