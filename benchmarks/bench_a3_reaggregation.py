@@ -21,6 +21,7 @@ from repro.aggregation import (
 from repro.etl import ParsedJob, ingest_jobs
 from repro.timeutil import ts
 from repro.warehouse import Database
+from tests.aggregation_oracle import rebuild_with_oracle
 
 from conftest import emit, emit_metrics
 
@@ -67,7 +68,7 @@ def test_a3_reaggregation_scaling(benchmark, n_jobs):
     # the benchmark fixture times the default (columnar) rebuild; time the
     # pure-Python oracle once for the before/after comparison
     t0 = time.perf_counter()
-    aggregator.aggregate_jobs_oracle("month")
+    rebuild_with_oracle(schema, "jobs", "month", aggregator.config)
     oracle_s = time.perf_counter() - t0
     columnar_s = benchmark.stats.stats.mean
     emit(f"a3_reaggregation_{n_jobs}", "\n".join([

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,10 @@ YEAR_START = ts(2017, 1, 1)
 YEAR_END = ts(2018, 1, 1)
 
 OUT_DIR = Path(__file__).parent / "out"
+
+# the pure-Python reference aggregation builders live with the tests
+# (tests/aggregation_oracle.py); make them importable from any directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 def emit(name: str, text: str) -> None:

@@ -3,9 +3,10 @@
 See Table I of the paper for the wall-time level sets reproduced in
 :mod:`repro.aggregation.levels`, and :mod:`repro.aggregation.engine` for the
 nightly pre-binning step that builds the ``agg_*`` tables the UI queries.
-The default rebuild paths run on the vectorized columnar builders in
-:mod:`repro.aggregation.columnar`; every realm also supports incremental
-folds over seen-table bookkeeping.
+Every table is computed by one kernel, the vectorized columnar builders
+in :mod:`repro.aggregation.columnar`, and written by one reconcile step
+that touches only changed rows.  Incremental passes rebuild only the
+tables whose source facts changed since their last build.
 """
 
 from .columnar import (

@@ -1,19 +1,20 @@
-"""Columnar fast path for the aggregation engine.
+"""The aggregation kernel: columnar builders for every ``agg_*`` table.
 
 The nightly aggregation step is the hottest path in the system: at
 federation-hub scale every member's raw facts are re-binned for every
-period.  The pure-Python builders in :mod:`repro.aggregation.engine` walk
-every fact as a dict and bucket in Python; the builders here compute the
-same tables from the warehouse's cached columnar views
-(:meth:`repro.warehouse.Table.column_array`) with vectorized group-index
-reductions (``np.lexsort`` + ``np.add.reduceat``, the pattern
-:mod:`repro.warehouse.query` already uses for grouped sums).
+period.  The builders here are the only code that computes aggregate
+rows.  They read the warehouse's cached columnar views
+(:meth:`repro.warehouse.Table.column_array`) and bin them with vectorized
+group-index reductions (``np.lexsort`` + ``np.add.reduceat``, the pattern
+:mod:`repro.warehouse.query` already uses for grouped sums);
+:mod:`repro.aggregation.engine` decides which tables to build and writes
+the rows.
 
 Multi-period apportionment is vectorized by expanding each fact into one
 row per overlapped period (``np.repeat`` over per-fact period counts) and
-reducing the expanded contribution table in one pass.  The pure-Python
-implementations remain in the engine as the oracle these builders are
-tested against row-for-row.
+reducing the expanded contribution table in one pass.  A pure-Python
+reference builder per realm lives with the tests, which check these
+builders against it row-for-row.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _count_rows_built(obs: Any, realm: str, period: str, n: int) -> None:
 def build_job_rows(
     schema: Schema, config: Any, period: str, *, obs: Any = None
 ) -> list[dict[str, Any]]:
-    """Vectorized equivalent of ``Aggregator.aggregate_jobs_oracle``."""
+    """Rows of ``agg_job_<period>`` in primary-key order."""
     table = schema.table("fact_job")
     if len(table) == 0:
         return []
@@ -234,7 +235,7 @@ def build_job_rows(
 
 
 def _job_row_key(row: dict[str, Any]) -> tuple:
-    """The oracle's bucket ordering (labels sort as strings)."""
+    """Primary-key order (labels sort as strings)."""
     return (
         row["period_start"], row["resource_id"], row["person_id"],
         row["pi_id"], row["app_id"], row["queue_id"],
@@ -246,9 +247,13 @@ def _job_row_key(row: dict[str, Any]) -> tuple:
 
 
 def build_storage_rows(
-    schema: Schema, period: str, *, obs: Any = None
+    schema: Schema, config: Any, period: str, *, obs: Any = None
 ) -> list[dict[str, Any]]:
-    """Vectorized equivalent of ``Aggregator.aggregate_storage_oracle``."""
+    """Rows of ``agg_storage_<period>`` in primary-key order.
+
+    ``config`` is unused (storage has no levels); it keeps the signature
+    of the other realms' kernels.
+    """
     table = schema.table("fact_storage")
     if len(table) == 0:
         return []
@@ -272,8 +277,7 @@ def build_storage_rows(
     )
     p_all = np.searchsorted(bounds, ts_, side="right") - 1
 
-    # last-snapshot-wins resource_type per (resource, filesystem), matching
-    # the oracle's meta dict
+    # last-snapshot-wins resource_type per (resource, filesystem)
     meta: dict[tuple[int, int], Any] = {}
     for r, f, t in zip(rid.tolist(), fs.tolist(), c["resource_type"].tolist()):
         meta[(int(r), int(f))] = t
@@ -333,7 +337,7 @@ def build_storage_rows(
 def build_cloud_rows(
     schema: Schema, config: Any, period: str, *, obs: Any = None
 ) -> list[dict[str, Any]]:
-    """Vectorized equivalent of ``Aggregator.aggregate_cloud_oracle``."""
+    """Rows of ``agg_cloud_<period>`` in primary-key order."""
     iv_table = schema.table("fact_vm_interval")
     vm_table = schema.table("fact_vm") if schema.has_table("fact_vm") else None
     n_iv = len(iv_table)

@@ -98,9 +98,9 @@ class XdmodInstance:
     ) -> dict[str, int]:
         """Run the nightly aggregation step locally.
 
-        With ``incremental=True`` only newly ingested facts are folded
-        into the existing aggregates (seen-table bookkeeping) instead of
-        rebuilding every realm from scratch.
+        With ``incremental=True`` only the aggregate tables whose source
+        facts (or aggregation config) changed since their last build are
+        rebuilt; the rest are skipped.
         """
         if incremental:
             return self.aggregator.aggregate_all_incremental(periods)
@@ -546,11 +546,12 @@ class FederationHub(XdmodInstance):
         aggregated there, according to the federation hub's aggregation
         levels, so no data are lost or changed."
 
-        With ``incremental=True`` each member schema folds in only its
-        newly replicated facts (seen-table bookkeeping per realm) instead
-        of rebuilding every aggregate; the result tables are identical to
-        a full rebuild over the same facts.  Level changes still require
-        :meth:`reaggregate_federation`, which always rebuilds.
+        With ``incremental=True`` each member schema rebuilds only the
+        aggregate tables whose source facts changed since their last build
+        (any insert, update or delete, replicated or shipped) and skips the
+        rest; the result tables are identical to a full rebuild over the
+        same facts.  :meth:`reaggregate_federation` changes the levels and
+        always rebuilds.
 
         Degraded mode: members whose circuit is open, whose schema never
         replicated, or whose aggregation raises are *skipped* — the

@@ -135,7 +135,9 @@ class LooseChannel:
         """Convert to live replication, resuming from the last shipment.
 
         Must ship at least once first, so the hub schema exists and the
-        binlog position is known.
+        binlog position is known.  The tight channel starts past the
+        ``dim_resource`` inserts, so it gets a filter that has learned every
+        resource name of the source (:meth:`ReplicationFilter.for_dump`).
         """
         if self.last_shipped_lsn is None:
             raise RuntimeError("cannot convert to tight before first shipment")
@@ -143,7 +145,7 @@ class LooseChannel:
         return ReplicationChannel(
             self.source,
             target,
-            filter=self.filter,
+            filter=self.filter.for_dump(self.source),
             start_lsn=self.last_shipped_lsn,
             obs=self.obs,
         )

@@ -138,9 +138,10 @@ class ReplicationFilter:
         return True
 
     def for_dump(self, source: Schema) -> "ReplicationFilter":
-        """A copy of this filter for a loose dump of ``source``.
+        """A copy of this filter for a loose dump of ``source``, or for a
+        tight channel that resumes after one.
 
-        A dump never sees ``dim_resource`` inserts stream past, so the copy
+        Neither sees ``dim_resource`` inserts stream past, so the copy
         learns every resource name of ``source`` up front; this filter's
         own learned names stay untouched.
         """

@@ -1,11 +1,12 @@
-"""Columnar fast path, incremental storage/cloud, and conservation fixes.
+"""Columnar kernel, incremental passes, and conservation fixes.
 
 Three families of tests:
 
-1. property tests: the columnar fast path, the pure-Python oracle, and
-   the incremental fold (in two batches) produce identical aggregate
-   tables on randomized job/storage/cloud facts — including zero-walltime
-   jobs, zero-length VM intervals, and None/0.0 quotas;
+1. property tests: the columnar kernel, the pure-Python oracle
+   (``tests/aggregation_oracle.py``), and an incremental pass after each
+   of two batches produce identical aggregate tables on randomized
+   job/storage/cloud facts — including zero-walltime jobs, zero-length
+   VM intervals, and None/0.0 quotas;
 2. conservation: per-period sums equal raw-fact totals for every period,
    which the pre-fix engine violated for zero-length jobs;
 3. regression tests for the three satellite bugfixes, each written to
@@ -33,6 +34,7 @@ from repro.etl.star import create_jobs_star
 from repro.etl.storagefs import create_storage_realm
 from repro.timeutil import PERIODS, SECONDS_PER_HOUR, period_start, ts
 from repro.warehouse import Schema
+from tests.aggregation_oracle import rebuild_with_oracle
 
 T0 = ts(2017, 1, 1)
 
@@ -225,9 +227,8 @@ class TestColumnarOracleParity:
         fast.aggregate_jobs(period)
         fast.aggregate_storage(period)
         fast.aggregate_cloud(period)
-        ref.aggregate_jobs_oracle(period)
-        ref.aggregate_storage_oracle(period)
-        ref.aggregate_cloud_oracle(period)
+        for realm in ("jobs", "storage", "cloud"):
+            rebuild_with_oracle(s_ref, realm, period)
         for pattern in AGG_TABLES:
             name = pattern.format(p=period)
             assert_tables_equal(
@@ -238,7 +239,8 @@ class TestColumnarOracleParity:
     @given(jobs=job_facts, snaps=storage_facts, vms=cloud_facts,
            period=st.sampled_from(PERIODS))
     def test_incremental_matches_full_rebuild(self, jobs, snaps, vms, period):
-        # fold in two batches; a full rebuild over the union must agree
+        # a pass after each of two batches; a full rebuild over the union
+        # must agree bit for bit
         s_inc, s_full = build_schema(), build_schema()
         half_j, half_s, half_v = (
             len(jobs) // 2, len(snaps) // 2, len(vms) // 2
@@ -251,7 +253,7 @@ class TestColumnarOracleParity:
             job_id0=half_j, snap_id0=half_s, vm_id0=half_v, iv_id0=iv_n,
         )
         inc.aggregate_all_incremental([period])
-        # folding again with no new facts must process nothing
+        # a pass with no new facts skips every table
         counts = inc.aggregate_all_incremental([period])
         assert all(v == 0 for v in counts.values())
 
@@ -266,17 +268,20 @@ class TestColumnarOracleParity:
             assert_tables_equal(
                 table_rows(s_inc, name), table_rows(s_full, name), name
             )
+            assert s_inc.table(name).checksum() == s_full.table(name).checksum()
 
     def test_full_rebuild_resyncs_incremental_bookkeeping(self):
+        # the full rebuild records the stamp the incremental pass checks
         s = build_schema()
         agg = Aggregator(s)
         insert_job(s, 1, start=T0, wall=3600)
         agg.aggregate_all_incremental(["month"])
         insert_job(s, 2, start=T0 + 86400, wall=7200)
         agg.aggregate_all(["month"])  # full rebuild covers job 2
-        assert agg.aggregate_jobs_incremental("month") == 0
-        assert agg.aggregate_storage_incremental("month") == 0
-        assert agg.aggregate_cloud_incremental("month") == 0
+        assert agg.aggregate_all_incremental(["month"]) == {
+            "agg_job_month": 0, "agg_storage_month": 0, "agg_cloud_month": 0,
+        }
+        assert sum(s.table("agg_job_month").column_values("n_jobs_ended")) == 2
 
 
 class TestConservation:
@@ -327,14 +332,14 @@ class TestZeroWalltimeRegression:
     def test_oracle_keeps_usage(self):
         s = build_schema()
         insert_job(s, 1, **self.params())
-        Aggregator(s).aggregate_jobs_oracle("month")
+        rebuild_with_oracle(s, "jobs", "month")
         rows = list(s.table("agg_job_month").rows())
         assert sum(r["cpu_hours"] for r in rows) == pytest.approx(7.5)
 
     def test_incremental_keeps_usage(self):
         s = build_schema()
         insert_job(s, 1, **self.params())
-        Aggregator(s).aggregate_jobs_incremental("month")
+        Aggregator(s).aggregate_all_incremental(["month"])
         rows = list(s.table("agg_job_month").rows())
         assert sum(r["cpu_hours"] for r in rows) == pytest.approx(7.5)
 
@@ -370,12 +375,12 @@ class TestZeroLengthIntervalRegression:
         for mode in ("fast", "oracle", "incremental"):
             s = build_schema()
             insert_interval(s, 1, vm_id=7, start=start, dur=0, state="running")
-            agg = Aggregator(s)
-            getattr(agg, {
-                "fast": "aggregate_cloud",
-                "oracle": "aggregate_cloud_oracle",
-                "incremental": "aggregate_cloud_incremental",
-            }[mode])("month")
+            if mode == "fast":
+                Aggregator(s).aggregate_cloud("month")
+            elif mode == "oracle":
+                rebuild_with_oracle(s, "cloud", "month")
+            else:
+                Aggregator(s).aggregate_all_incremental(["month"])
             results.append(table_rows(s, "agg_cloud_month"))
         assert results[0] == results[1] == results[2]
 
@@ -403,8 +408,11 @@ class TestQuotaTruthinessRegression:
         insert_snapshot(s, 1, ts_=T0, person_id=1, soft=None)
         insert_snapshot(s, 2, ts_=T0, person_id=2, soft=0.0)
         insert_snapshot(s, 3, ts_=T0, person_id=3, soft=100.0, logical=50.0)
-        for method in ("aggregate_storage", "aggregate_storage_oracle"):
-            getattr(Aggregator(s), method)("month")
+        for build in (
+            lambda: Aggregator(s).aggregate_storage("month"),
+            lambda: rebuild_with_oracle(s, "storage", "month"),
+        ):
+            build()
             (row,) = s.table("agg_storage_month").rows()
             assert row["n_quota_samples"] == 2
             assert row["sum_quota_utilization"] == pytest.approx(0.5)

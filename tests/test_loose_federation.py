@@ -91,6 +91,31 @@ class TestLooseChannel:
         assert len(hub_fact) == 10
         assert hub_fact.checksum() == satellite_schema.table("fact_job").checksum()
 
+    def test_to_tight_keeps_excluding_resources(self, satellite_schema):
+        # the tight channel resumes past the dim_resource inserts, so its
+        # filter must already know which resource id is "secret"
+        ingest_jobs(satellite_schema, [make_job(50, resource="secret")])
+        hub_db = Database("hub")
+        loose = LooseChannel(
+            satellite_schema, hub_db, "fed_sat",
+            filter=ReplicationFilter(exclude_resources={"secret"}),
+        )
+        loose.ship()
+        ingest_jobs(satellite_schema, [
+            make_job(100 + i, resource=("r1", "secret")[i % 2]) for i in range(4)
+        ])
+        assert loose.to_tight().catch_up() == 2  # the two new r1 jobs only
+        hub = hub_db.schema("fed_sat")
+        secret_ids = {
+            r["resource_id"] for r in satellite_schema.table("dim_resource").rows()
+            if r["name"] == "secret"
+        }
+        assert secret_ids
+        assert not any(
+            r["resource_id"] in secret_ids for r in hub.table("fact_job").rows()
+        )
+        assert len(hub.table("fact_job")) == 10
+
     def test_to_tight_before_ship_rejected(self, satellite_schema):
         channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
         with pytest.raises(RuntimeError):

@@ -39,24 +39,28 @@ FOOTER = """\
 
 ### Aggregation modes
 
-Each realm has three equivalent implementations in
-`repro.aggregation` (tested row-for-row against each other):
+One kernel computes every `agg_*` table: the vectorized group reductions
+in `repro.aggregation.columnar`.  The two entry points differ only in
+which tables they build:
 
 | mode | entry point | use |
 |---|---|---|
-| columnar (default) | `Aggregator.aggregate_jobs` / `aggregate_storage` / `aggregate_cloud` | full drop-and-rebuild on vectorized group reductions (`repro.aggregation.columnar`) |
-| oracle | `Aggregator.aggregate_*_oracle` | pure-Python reference; same output, used as the test oracle |
-| incremental | `Aggregator.aggregate_*_incremental` | folds only facts not yet seen into the existing `agg_*` tables |
+| full | `Aggregator.aggregate_all` / `reaggregate` / `aggregate_jobs` / `aggregate_storage` / `aggregate_cloud` | always builds its tables; returns each table's row count |
+| incremental | `Aggregator.aggregate_all_incremental` | builds only the tables whose source stamp moved; returns the fact rows the kernel read (0 for a skipped table) |
 
-Incremental aggregation keeps per-period bookkeeping tables
-(`agg_seen_*`, plus `agg_state_storage_*` numerator sums for the storage
-realm's gauge averages and `agg_active_vm_*` membership for distinct
-active-VM counts).  Facts are treated as append-only; a full rebuild
-resynchronizes the bookkeeping so incremental folds can resume afterward.
-`FederationHub.aggregate_federation(periods, incremental=True)` folds only
-the deltas replicated since the previous fold on every federated schema.
+A build reconciles the kernel's rows into the existing table: vanished
+keys are deleted, changed rows updated, new keys inserted, and equal rows
+left alone, so they log no binlog event.  The *source stamp* recorded at
+each build is the source fact tables (`fact_job`; `fact_storage`;
+`fact_vm_interval` + `fact_vm`) with their `data_version`, and the
+`AggregationConfig`.  Facts may be inserted, updated or deleted in any
+order, including cumulative cloud re-dumps; an incremental pass always
+equals a full build over the same facts.
+`FederationHub.aggregate_federation(periods, incremental=True)` skips every
+member table whose facts did not change since its last build.  The
+pure-Python reference builders live in `tests/aggregation_oracle.py`.
 
-Edge-case semantics shared by all three modes: zero-walltime jobs
+Edge-case semantics of the kernel: zero-walltime jobs
 attribute their recorded usage to the period containing `end_ts`;
 zero-length `running` VM intervals count toward `n_vms_active` in the
 period containing `start_ts`; a storage `soft_quota_gb` of `0.0` is a real
